@@ -368,33 +368,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # SIGTERM behaves like Ctrl-C: the campaign journals in-flight cells as
     # interrupted (so --resume re-runs only those) before the interrupt
     # propagates to main(), which exits 130.
-    if args.server:
-        from repro.dse.distrib import (
-            DEFAULT_LEASE_TTL_S,
-            run_networked_campaign,
-            status_line,
-        )
-
-        def net_status_fn(snap) -> None:
-            print(status_line(snap), file=sys.stderr)
-
-        with _sigterm_as_interrupt():
-            campaign = run_networked_campaign(
-                grid,
-                out_dir=out_dir,
-                server=args.server,
-                workers=args.workers if args.workers is not None else 1,
-                resume=args.resume,
-                force=args.force,
-                retries=args.retries,
-                timeout_s=args.timeout,
-                lease_ttl_s=(args.lease_ttl if args.lease_ttl is not None
-                             else DEFAULT_LEASE_TTL_S),
-                poll_s=args.poll,
-                progress=progress,
-                status_fn=None if quiet else net_status_fn,
-            )
-    elif args.workers is not None:
+    if args.server or args.workers is not None:
         from repro.dse.distrib import (
             DEFAULT_LEASE_TTL_S,
             run_distributed_campaign,
@@ -408,7 +382,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             campaign = run_distributed_campaign(
                 grid,
                 out_dir=out_dir,
-                workers=args.workers,
+                server=args.server or None,
+                workers=args.workers if args.workers is not None else 1,
                 resume=args.resume,
                 force=args.force,
                 retries=args.retries,

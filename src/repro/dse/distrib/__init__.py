@@ -26,7 +26,9 @@ mount speaking TCP to a queue server:
   worker-local result spool for partitions;
 * :mod:`repro.dse.distrib.worker` — the transport-agnostic worker loop
   (``dssoc-emulate sweep-worker``);
-* :mod:`repro.dse.distrib.coordinator` — campaign orchestration, shard
+* :mod:`repro.dse.distrib.coordinator` — one campaign loop for both
+  transports (:func:`~repro.dse.distrib.coordinator.run_distributed_campaign`,
+  with ``server=HOST:PORT`` for the network one): orchestration, shard
   merge, liveness (``dssoc-emulate sweep --workers N`` and
   ``sweep --server HOST:PORT``);
 * :mod:`repro.dse.distrib.status` — live campaign status
@@ -40,7 +42,6 @@ from repro.dse.distrib.coordinator import (
     ShardMerger,
     merge_once,
     run_distributed_campaign,
-    run_networked_campaign,
 )
 from repro.dse.distrib.leases import LeaseDir, LeaseInfo
 from repro.dse.distrib.queue import (
@@ -82,7 +83,6 @@ __all__ = [
     "merge_once",
     "render_status",
     "run_distributed_campaign",
-    "run_networked_campaign",
     "run_worker",
     "status_line",
     "write_manifest",

@@ -41,8 +41,11 @@ def lease_now(path: Path) -> float:
     Touching a probe file and reading its mtime back samples the file
     server's clock, which is the same clock that stamps lease renewals —
     so expiry decisions are consistent across hosts with skewed clocks.
+    Each call uses its own probe file, so concurrent callers (threads of
+    one process, or same-pid processes on two hosts) never unlink each
+    other's probe between its create and its stat.
     """
-    probe = path / f".clock.{os.getpid()}"
+    probe = path / f".clock.{os.getpid()}.{os.urandom(6).hex()}"
     try:
         with open(probe, "w", encoding="utf-8"):
             pass

@@ -300,15 +300,10 @@ class SweepServer:
         return {"cached": sorted(cached)}
 
     def _op_resolved(self, msg: dict[str, Any]) -> dict[str, Any]:
-        failed = {
-            cell_id: {
-                "attempts": int(rec.get("attempts", 1)),
-                "final": True,
-                "error": (rec.get("errors") or ["?"])[-1],
-            }
-            for cell_id, rec in self.queue.failed_final().items()
+        return {
+            "completed": sorted(self.completed),
+            "failed": self.queue.final_failures(),
         }
-        return {"completed": sorted(self.completed), "failed": failed}
 
     def _op_claim(self, msg: dict[str, Any]) -> dict[str, Any]:
         cell_id = msg["cell_id"]

@@ -227,6 +227,18 @@ class WorkQueue:
                 out[path.stem] = record
         return out
 
+    def final_failures(self) -> dict[str, dict[str, Any]]:
+        """:meth:`failed_final` as the coordinator folds it: attempts and
+        the last error per cell (the network ``resolved`` reply's shape)."""
+        return {
+            cell_id: {
+                "attempts": int(rec.get("attempts", 1)),
+                "final": True,
+                "error": (rec.get("errors") or ["?"])[-1],
+            }
+            for cell_id, rec in self.failed_final().items()
+        }
+
     # -- worker heartbeats -----------------------------------------------------------
 
     def worker_path(self, worker_id: str) -> Path:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,36 @@ from repro.appmodel.library import KernelLibrary
 from repro.hardware.config import AffinityPlan
 from repro.hardware.platform import odroid_xu3, zcu102
 from repro.runtime.handler import ResourceHandler
+
+try:
+    import pytest_timeout  # noqa: F401
+except ImportError:
+    # Without pytest-timeout the ini ``timeout`` guards nothing: arm a
+    # stdlib watchdog per test that dumps every thread's stack and exits.
+    _stderr_fd = pytest.StashKey[int]()
+
+    def pytest_addoption(parser):
+        parser.addini("timeout", "per-test wall-clock limit (s)", default="0")
+
+    def pytest_configure(config):
+        # Output capture owns fd 2 while a test runs, so the dump goes to
+        # a copy of the terminal's stderr taken before any test starts.
+        config.stash[_stderr_fd] = os.dup(sys.stderr.fileno())
+
+    def pytest_unconfigure(config):
+        os.close(config.stash[_stderr_fd])
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_runtest_protocol(item, nextitem):
+        timeout = float(item.config.getini("timeout") or 0)
+        if timeout > 0:
+            faulthandler.dump_traceback_later(
+                timeout, exit=True, file=item.config.stash[_stderr_fd]
+            )
+        try:
+            return (yield)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ from repro.dse.distrib import (
     WorkQueue,
     campaign_snapshot,
     render_status,
-    run_networked_campaign,
+    run_distributed_campaign,
     run_worker,
     write_manifest,
 )
@@ -550,7 +550,7 @@ class TestChaosEquivalence:
             with ChaosProxy((host, port), seed=7, p_reset=0.04,
                             p_truncate=0.02, p_delay=0.04,
                             p_duplicate=0.04, delay_s=0.05) as proxy:
-                net = run_networked_campaign(
+                net = run_distributed_campaign(
                     grid, tmp_path / "net",
                     server=f"127.0.0.1:{proxy.port}",
                     workers=0,  # embedded worker — also behind the proxy
@@ -587,7 +587,7 @@ class TestChaosEquivalence:
 
         def campaign():
             try:
-                result_box["result"] = run_networked_campaign(
+                result_box["result"] = run_distributed_campaign(
                     grid, tmp_path / "net", server=f"{host}:{port}",
                     workers=1, poll_s=0.1, status_interval_s=3600,
                 )

@@ -35,7 +35,10 @@ from repro.dse.distrib import (
     status_line,
     write_manifest,
 )
+from repro.dse.distrib import coordinator
+from repro.dse.distrib.leases import lease_now
 from repro.dse.journal import Journal
+from tests.chaos_net import spawn_server
 
 TINY = validation_sweep({"wifi_tx": 1})
 
@@ -72,6 +75,25 @@ def finishes_per_cell(path: Path) -> dict[str, int]:
 def executions_per_cell(path: Path) -> dict[str, int]:
     """True executions only (``cell_finish``) per cell."""
     return events_per_cell(path, (journal_mod.EVENT_CELL_FINISH,))
+
+
+@pytest.fixture(params=["fs", "net"])
+def store(request, tmp_path):
+    """Where a campaign lives: ``(server, state_dir)``.
+
+    ``fs`` is the shared directory ``tmp_path / "dist"`` (``server`` is
+    None); ``net`` is a spawned ``sweep-server`` keeping its state in
+    ``tmp_path / "srv"``.  Either way ``state_dir`` holds the journal.
+    """
+    if request.param == "fs":
+        yield None, tmp_path / "dist"
+        return
+    proc, host, port = spawn_server(tmp_path / "srv", lease_ttl_s=10.0)
+    try:
+        yield f"{host}:{port}", tmp_path / "srv"
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
 
 
 class TestLeasePrimitive:
@@ -122,6 +144,28 @@ class TestLeasePrimitive:
         for t in threads:
             t.join()
         assert len(wins) == 1
+
+    def test_lease_now_is_thread_safe(self, tmp_path):
+        # The coordinator samples the filesystem clock (status snapshot)
+        # while its embedded worker thread does the same.
+        errors = []
+        barrier = threading.Barrier(4)
+
+        def sample():
+            barrier.wait()
+            for _ in range(2000):
+                try:
+                    lease_now(tmp_path)
+                except OSError as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=sample) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert not list(tmp_path.glob(".clock.*"))
 
     def test_renewed_lease_is_not_stolen(self, tmp_path):
         a = LeaseDir(tmp_path, owner="a", ttl_s=0.3)
@@ -358,11 +402,13 @@ class TestWorkerLoop:
 
 
 class TestDistributedCampaign:
-    def test_embedded_matches_single_process(self, tmp_path):
+    def test_embedded_matches_single_process(self, tmp_path, store):
+        server, state_dir = store
         grid = tiny_grid()
         single = run_campaign(grid, out_dir=tmp_path / "single")
         dist = run_distributed_campaign(grid, tmp_path / "dist",
-                                        workers=0, poll_s=0.05)
+                                        server=server, workers=0,
+                                        poll_s=0.05)
         assert dist.ok and single.ok
 
         def norm(rows):
@@ -375,8 +421,27 @@ class TestDistributedCampaign:
 
         assert norm(dist.rows()) == norm(single.rows())
         sa = journal_mod.replay(tmp_path / "single" / "journal.jsonl")
-        sb = journal_mod.replay(tmp_path / "dist" / "journal.jsonl")
+        sb = journal_mod.replay(state_dir / "journal.jsonl")
         assert sa.completed == sb.completed
+        counts = finishes_per_cell(state_dir / "journal.jsonl")
+        assert counts == {c.cell_id: 1 for c in grid.expand()}
+
+    def test_dead_fleet_aborts_with_resume_hint(self, tmp_path, store,
+                                                monkeypatch):
+        server, state_dir = store
+        # Every spawned worker exits at once, before its first heartbeat.
+        monkeypatch.setattr(
+            coordinator, "_spawn_worker",
+            lambda *args, **kwargs: subprocess.Popen(
+                [sys.executable, "-c", "pass"]),
+        )
+        with pytest.raises(DistribError, match="--resume"):
+            run_distributed_campaign(tiny_grid(), tmp_path / "dist",
+                                     server=server, workers=2, poll_s=0.05,
+                                     status_interval_s=3600)
+        ends = [e for e in journal_mod.read_events(state_dir / "journal.jsonl")
+                if e["event"] == journal_mod.EVENT_CAMPAIGN_END]
+        assert ends[-1]["interrupted"] is True
 
     def test_resume_uses_cache_and_runs_nothing(self, tmp_path):
         grid = tiny_grid()
