@@ -64,6 +64,11 @@ class Scheduler:
         self._support_rows: dict[int, tuple] = {}
         self._est_fb = None
         self._support_fb = None
+        # EFT placement caches (see eft_placement): id(node) -> (node,
+        # (PE index, estimate) pairs of the supported PEs, class mask),
+        # and class -> mask.
+        self._place_rows: dict[int, tuple] = {}
+        self._class_masks: dict = {}
         # Compiled placement-loop kernels, bound at construction (None on
         # the pure core).  Subclass schedule() implementations branch on
         # this and hand the positional inner loop to C; results are
@@ -106,6 +111,8 @@ class Scheduler:
             self._support_rows = {}
             self._est_fb = None
             self._support_fb = None
+            self._place_rows = {}
+            self._class_masks = {}
 
     def estimate_row(
         self, task: TaskInstance, handlers: list[ResourceHandler]
@@ -161,6 +168,128 @@ class Scheduler:
                 lambda task: self.support_row(task, handlers)
             )
         return fb
+
+    def _class_mask(
+        self, cls: tuple[str, ...], handlers: list[ResourceHandler]
+    ) -> int:
+        """Bitmask of the handlers that a platform class (a node's
+        ``platform_names()``) supports, as ``TaskNode.supports_any``."""
+        mask = self._class_masks.get(cls)
+        if mask is None:
+            mask = 0
+            for i, h in enumerate(handlers):
+                if any(p in cls for p in h.accepted_platforms):
+                    mask |= 1 << i
+            self._class_masks[cls] = mask
+        return mask
+
+    def eft_placement(
+        self,
+        order,
+        handlers: list[ResourceHandler],
+        now: float,
+        ready=None,
+    ) -> list[Assignment]:
+        """Earliest-finish-time list placement, shared by EFT, HEFT, cprank.
+
+        Walks ``order`` and books each task on the PE — idle or busy —
+        where it would finish first, using per-PE availability estimates
+        that the pass's own bookings push back; only bookings that land on
+        an idle PE not yet taken this pass become assignments.
+
+        ``ready`` is the container ``order`` was drawn from (the same
+        tasks; defaults to ``order``).  When it keeps per-class live
+        counts (the WM's :class:`ReadyList`), the scan stops as soon as no
+        remaining task's class supports an open PE: later bookings could
+        only touch busy or taken PEs and cannot change the assignments.
+        Without counts (plain lists) the scan stops only once every idle
+        PE is taken.  The compiled ``eft_pass`` kernel always runs the
+        latter scan; the assignments are identical either way.
+        """
+        self._sync_row_cache(handlers)
+        kern = self._kernels
+        if kern is not None:
+            # The availability prologue and placement loop both run in C;
+            # the kernel reads handler.failed/.status/.estimated_free_time
+            # exactly as the pure loop below does.
+            pairs = kern.eft_pass(
+                order, self._est_rows, self._est_fallback(handlers),
+                handlers, now,
+            )
+            return [Assignment(task, handlers[i]) for task, i in pairs]
+        # Availability estimates, positional over ``handlers``: idle PEs are
+        # free now (and open); busy PEs free at their tracked estimate
+        # (never in the past).  Failed PEs get inf, so they never win the
+        # finish-time comparison without an extra branch in the inner loop.
+        inf = float("inf")
+        avail: list[float] = []
+        open_mask = 0
+        for i, h in enumerate(handlers):
+            if h.failed:
+                avail.append(inf)
+            elif h.status is PEStatus.IDLE:
+                avail.append(now)
+                open_mask |= 1 << i
+            else:
+                free = h.estimated_free_time
+                avail.append(free if free > now else now)
+        counts = getattr(order if ready is None else ready, "class_counts", None)
+        # ``live`` is 0 exactly when no remaining task can be dispatched.
+        # With counts it is the number of unvisited tasks whose class
+        # meets the open-PE mask (``rem``: unvisited tasks per class mask);
+        # without, it is the open-PE mask itself.
+        if counts is None:
+            rem = None
+            live = open_mask
+        else:
+            rem = {}
+            for cls, n in counts.items():
+                m = self._class_mask(cls, handlers)
+                rem[m] = rem.get(m, 0) + n
+            live = sum(n for c, n in rem.items() if c & open_mask)
+        rows = self._place_rows
+        assignments: list[Assignment] = []
+        if not live:
+            return assignments
+        for task in order:
+            node = task.node
+            hit = rows.get(id(node))
+            if hit is None:
+                row = self.estimate_row(task, handlers)
+                hit = rows[id(node)] = (
+                    node,
+                    tuple((i, e) for i, e in enumerate(row) if e is not None),
+                    self._class_mask(node.platform_names(), handlers),
+                )
+            if rem is not None:
+                m = hit[2]
+                rem[m] -= 1
+                if m & open_mask:
+                    live -= 1
+            best_i = -1
+            best_finish = inf
+            for i, est in hit[1]:
+                finish = avail[i] + est
+                if finish < best_finish:
+                    best_finish = finish
+                    best_i = i
+            if best_i >= 0:
+                # Book the task on the chosen PE either way; dispatch only
+                # if the PE is open (idle and not already taken this pass).
+                avail[best_i] = best_finish
+                bit = 1 << best_i
+                if open_mask & bit:
+                    open_mask ^= bit
+                    assignments.append(Assignment(task, handlers[best_i]))
+                    if rem is None:
+                        live = open_mask
+                    else:
+                        live = sum(n for c, n in rem.items() if c & open_mask)
+            # Checked before pulling the next task, so a pass with nothing
+            # left to dispatch reads no further from ``order``.
+            if not live:
+                break
+        return assignments
 
     @staticmethod
     def idle_handlers(handlers: list[ResourceHandler]) -> list[ResourceHandler]:

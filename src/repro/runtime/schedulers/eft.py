@@ -1,18 +1,23 @@
-"""Earliest finish time (EFT) — O(n²), the paper's heavyweight policy.
+"""Earliest finish time (EFT) — the paper's heavyweight policy.
 
 For each ready task the policy evaluates the finish time on *every* PE —
 idle or busy — using per-PE availability estimates that it updates as it
 tentatively books tasks within the pass (so the booking of earlier ready
-tasks delays the estimates seen by later ones; this cross-task interaction
-is what makes the policy quadratic in ready-queue length).  Only decisions
-that landed on an actually-idle PE turn into dispatches; bookings onto
-busy PEs merely shape subsequent estimates, as in list-scheduling EFT.
+tasks delays the estimates seen by later ones, as in list-scheduling EFT).
+Only decisions that landed on an actually-idle PE turn into dispatches;
+bookings onto busy PEs merely shape subsequent estimates.
+
+Two costs differ here.  The *modeled* cost — what the virtual backend
+charges the management core via ``SchedulerCostModel`` — is the full
+quadratic scan, as on the paper's hardware.  The *host* cost of a pass is
+O(ready × PEs), cut off once no remaining ready task can reach an open PE
+(see :meth:`Scheduler.eft_placement`); the assignments are the same.
 """
 
 from __future__ import annotations
 
 from repro.appmodel.instance import TaskInstance
-from repro.runtime.handler import PEStatus, ResourceHandler
+from repro.runtime.handler import ResourceHandler
 from repro.runtime.schedulers.base import Assignment, Scheduler
 
 
@@ -25,65 +30,4 @@ class EFTScheduler(Scheduler):
         handlers: list[ResourceHandler],
         now: float,
     ) -> list[Assignment]:
-        kern = self._kernels
-        if kern is not None:
-            # The availability prologue and placement loop both run in C;
-            # the kernel reads handler.failed/.status/.estimated_free_time
-            # exactly as the pure loop below does.
-            self._sync_row_cache(handlers)
-            pairs = kern.eft_pass(
-                ready, self._est_rows, self._est_fallback(handlers),
-                handlers, now,
-            )
-            return [Assignment(task, handlers[i]) for task, i in pairs]
-        # Availability estimates, positional over ``handlers``: idle PEs are
-        # free now; busy PEs free at their tracked estimate (never in the
-        # past).  Positional arrays + cached estimate rows keep the
-        # quadratic inner loop allocation- and lookup-free.
-        avail: list[float] = []
-        idle_now: list[bool] = []
-        idle_remaining = 0
-        for h in handlers:
-            if h.failed:
-                # Failed PEs never win the finish-time comparison (inf + est
-                # is never < best), so the inner loop needs no extra branch.
-                idle_now.append(False)
-                avail.append(float("inf"))
-            elif h.status is PEStatus.IDLE:
-                idle_now.append(True)
-                avail.append(now)
-                idle_remaining += 1
-            else:
-                idle_now.append(False)
-                free = h.estimated_free_time
-                avail.append(free if free > now else now)
-        dispatched = [False] * len(handlers)
-        assignments: list[Assignment] = []
-        estimate_row = self.estimate_row
-        inf = float("inf")
-        for task in ready:
-            # Once every idle PE has been dispatched, later bookings cannot
-            # change any observable outcome of this pass — skip them.  (The
-            # *modeled* overhead still charges the full O(n^2) scan.)
-            if idle_remaining == 0:
-                break
-            row = estimate_row(task, handlers)
-            best_i = -1
-            best_finish = inf
-            for i, est in enumerate(row):
-                if est is None:
-                    continue
-                finish = avail[i] + est
-                if finish < best_finish:
-                    best_finish = finish
-                    best_i = i
-            if best_i < 0:
-                continue
-            # Book the task on the chosen PE either way; dispatch only if
-            # the PE is genuinely idle and not already taken this pass.
-            avail[best_i] = best_finish
-            if idle_now[best_i] and not dispatched[best_i]:
-                dispatched[best_i] = True
-                idle_remaining -= 1
-                assignments.append(Assignment(task, handlers[best_i]))
-        return assignments
+        return self.eft_placement(ready, handlers, now)

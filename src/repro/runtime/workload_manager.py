@@ -34,15 +34,26 @@ class ReadyList:
     tombstones outnumber live entries.  Iteration is therefore a plain
     slice walk — no per-item id() filtering — while each pass stays
     O(live + dispatched) amortized instead of O(queue length).
+
+    It also keeps a live count per platform class (:attr:`class_counts`),
+    updated in O(1) per task, which lets the EFT-family placement loop
+    stop once no remaining task can reach an open PE.
     """
 
-    __slots__ = ("_items", "_start", "_dead", "_ids")
+    __slots__ = ("_items", "_start", "_dead", "_ids", "_counts", "_node_cls")
 
     def __init__(self) -> None:
         self._items: list[TaskInstance] = []
         self._start = 0
         self._dead: set[int] = set()
-        self._ids: set[int] = set()
+        #: id(task) -> platform class of every live task
+        self._ids: dict[int, tuple[str, ...] | None] = {}
+        # Live tasks per platform class (``node.platform_names()``), kept
+        # for the EFT-family early exit; items without a task node count
+        # under None.  Zero counts are deleted.
+        self._counts: dict[tuple[str, ...] | None, int] = {}
+        #: id(archetype node) -> (node, class); the node pins its id
+        self._node_cls: dict[int, tuple] = {}
 
     def extend(self, tasks: list[TaskInstance]) -> None:
         dead = self._dead
@@ -56,11 +67,31 @@ class ReadyList:
             # before the id goes live again.
             self._compact()
         self._items.extend(tasks)
-        self._ids.update(map(id, tasks))
+        ids, counts, node_cls = self._ids, self._counts, self._node_cls
+        for t in tasks:
+            key = id(t)
+            if key in ids:
+                continue
+            node = getattr(t, "node", None)
+            hit = node_cls.get(id(node))
+            if hit is None:
+                cls = None if node is None else node.platform_names()
+                hit = node_cls[id(node)] = (node, cls)
+            cls = hit[1]
+            ids[key] = cls
+            counts[cls] = counts.get(cls, 0) + 1
 
     def remove_ids(self, ids: set[int]) -> None:
         self._dead |= ids
-        self._ids -= ids
+        live, counts = self._ids, self._counts
+        for key in ids:
+            if key in live:
+                cls = live.pop(key)
+                n = counts[cls] - 1
+                if n:
+                    counts[cls] = n
+                else:
+                    del counts[cls]
         items, dead = self._items, self._dead
         start, n = self._start, len(items)
         while start < n and id(items[start]) in dead:
@@ -70,8 +101,13 @@ class ReadyList:
         if start > 64 and start * 2 > n:
             del items[:start]
             self._start = 0
-        if len(dead) > max(64, len(self._ids)):
+        if len(dead) > max(64, len(live)):
             self._compact()
+
+    @property
+    def class_counts(self) -> dict[tuple[str, ...] | None, int]:
+        """Live tasks per platform class (read-only view)."""
+        return self._counts
 
     def _compact(self) -> None:
         items = self._items

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _native
+from repro import core as core_select
 from repro.appmodel.builder import GraphBuilder
 from repro.appmodel.dag import PlatformBinding
 from repro.appmodel.instance import ApplicationInstance
 from repro.common.errors import SchedulingError
 from repro.hardware.pe import PE_CPU, PE_FFT, ProcessingElement
-from repro.runtime.handler import ResourceHandler
+from repro.runtime.handler import PEStatus, ResourceHandler
 from repro.runtime.schedulers import (
     Assignment,
     EFTScheduler,
@@ -26,10 +28,12 @@ from repro.runtime.schedulers import (
     register_policy,
 )
 from repro.runtime.schedulers.base import validate_assignments
+from repro.runtime.schedulers.cprank import CPRankScheduler
 from repro.runtime.schedulers.reservation import (
     ReservationEFTScheduler,
     ReservationFRFSScheduler,
 )
+from repro.runtime.workload_manager import ReadyList
 
 
 class FixedOracle:
@@ -345,3 +349,190 @@ def test_policy_output_always_valid_property(n_tasks, pes, policy):
     out = sched.schedule(tasks, handlers, 0.0)
     validate_assignments(out, tasks)
     assert len({id(a.handler) for a in out}) == len(out)
+
+
+# -- EFT-family placement: exactness and early exit ----------------------------
+
+
+def naive_eft(order, handlers, oracle, now):
+    """Reference list-scheduling EFT written without the library's helpers:
+    every task is costed on every live PE (no early exit, no caches), and
+    bookings on idle PEs not yet taken become (task, handler) pairs."""
+    avail = {}
+    for h in handlers:
+        if h.status is PEStatus.IDLE:
+            avail[h.name] = now
+        else:
+            avail[h.name] = max(h.estimated_free_time, now)
+    taken = set()
+    out = []
+    for task in order:
+        best = None
+        for h in handlers:
+            if h.failed:
+                continue
+            est = oracle.estimate(task, h)
+            if est is None:
+                continue
+            finish = avail[h.name] + est
+            if best is None or finish < best[0]:
+                best = (finish, h)
+        if best is None:
+            continue
+        finish, h = best
+        avail[h.name] = finish
+        if h.status is PEStatus.IDLE and h.name not in taken:
+            taken.add(h.name)
+            out.append((task, h))
+    return out
+
+
+class NoDeviceOracle:
+    """Wraps an oracle and answers None on the listed PEs: an accelerator
+    with no device attached, which the task's platform list still names."""
+
+    def __init__(self, inner, dead_pe_ids):
+        self.inner = inner
+        self.dead = set(dead_pe_ids)
+
+    def estimate(self, task, handler):
+        if handler.pe_id in self.dead:
+            return None
+        return self.inner.estimate(task, handler)
+
+
+class CountingIter:
+    """Iterable wrapper that counts the items pulled from it."""
+
+    def __init__(self, items):
+        self.items = items
+        self.pulled = 0
+
+    def __iter__(self):
+        for item in self.items:
+            self.pulled += 1
+            yield item
+
+
+EFT_FAMILY = {"eft": EFTScheduler, "heft": HEFTScheduler,
+              "cprank": CPRankScheduler}
+
+
+def _cores():
+    cores = [core_select.CORE_PURE]
+    if _native.load() is not None:
+        cores.append(core_select.CORE_COMPILED)
+    return cores
+
+
+def _spy_placement(sched):
+    """Record each pass's ``order`` (and wrap it in a CountingIter) while
+    the real placement helper runs unchanged."""
+    real = sched.eft_placement
+    seen = {}
+
+    def spy(order, handlers, now, ready=None):
+        seen["order"] = list(order)
+        seen["pulls"] = counting = CountingIter(order)
+        return real(counting, handlers, now,
+                    order if ready is None else ready)
+
+    sched.eft_placement = spy
+    return seen
+
+
+@pytest.mark.parametrize("core", _cores())
+@pytest.mark.parametrize("policy", sorted(EFT_FAMILY))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_eft_placement_matches_naive_full_scan(policy, core, data):
+    apps = data.draw(st.lists(
+        st.tuples(st.integers(1, 8), st.sets(st.integers(0, 7))),
+        min_size=1, max_size=3,
+    ))
+    tasks = [t for n, fft in apps for t in build_app(n, fft_capable=fft)]
+    order = data.draw(st.permutations(tasks))
+    kinds = data.draw(st.lists(st.sampled_from(["cpu", "fft"]),
+                               min_size=1, max_size=5))
+    handlers = make_handlers(kinds)
+    filler = build_app(1)[0]
+    for h in handlers:
+        state = data.draw(st.sampled_from(["idle", "busy", "failed"]))
+        if state == "busy":
+            h.assign(filler)
+            h.estimated_free_time = data.draw(
+                st.sampled_from([0.0, 3.0, 10.0, 25.0]))
+        elif state == "failed":
+            h.mark_failed(0.0)
+    time = st.sampled_from([5.0, 10.0, 12.5, 40.0])
+    times = {}
+    for i in range(8):
+        times[(f"k{i}", "cpu")] = data.draw(time)
+        times[(f"k{i}_accel", "fft")] = data.draw(time)
+    no_device = data.draw(st.sets(st.sampled_from(
+        [h.pe_id for h in handlers if h.type_name == "fft"] or [-1])))
+    oracle = NoDeviceOracle(FixedOracle(times), no_device)
+    container = data.draw(st.sampled_from(["list", "ready", "tombstoned"]))
+    if container == "list":
+        ready = list(order)
+    else:
+        ready = ReadyList()
+        if container == "tombstoned" and order:
+            # Interleave extra tasks and remove them mid-list, so live
+            # entries sit between tombstones (and their classes were
+            # counted and uncounted).
+            extras = build_app(len(order), fft_capable={0, 2})
+            ready.extend([order[0]])
+            for t, x in zip(order[1:], extras):
+                ready.extend([x, t])
+            ready.remove_ids({id(x) for x in extras})
+        else:
+            ready.extend(order)
+        assert list(ready) == order
+    with core_select.forced(core):
+        sched = EFT_FAMILY[policy](oracle)
+    seen = _spy_placement(sched)
+    out = sched.schedule(ready, handlers, 2.0)
+    expected = naive_eft(seen["order"], handlers, oracle, 2.0)
+    assert [(id(a.task), a.handler.name) for a in out] == \
+        [(id(t), h.name) for t, h in expected]
+
+
+@pytest.mark.parametrize("policy", sorted(EFT_FAMILY))
+class TestEFTEarlyExit:
+    """The pure placement loop stops reading the ready tasks once none of
+    the remaining ones can reach an open PE.  The equivalence test above
+    cannot see a regression that silently disables the exit; this can."""
+
+    def _pass(self, policy, kinds, busy, ready):
+        handlers = make_handlers(kinds)
+        filler = build_app(1)[0]
+        for i in busy:
+            handlers[i].assign(filler)
+            handlers[i].estimated_free_time = 50.0
+        with core_select.forced(core_select.CORE_PURE):
+            sched = EFT_FAMILY[policy](FixedOracle({}))
+        seen = _spy_placement(sched)
+        out = sched.schedule(ready, handlers, 0.0)
+        return out, seen["pulls"].pulled
+
+    def test_idle_accelerator_and_cpu_only_tasks_reads_nothing(self, policy):
+        ready = ReadyList()
+        ready.extend(build_app(6))  # CPU-only
+        out, pulled = self._pass(policy, ["cpu", "fft"], busy=[0],
+                                 ready=ready)
+        assert out == [] and pulled == 0
+
+    def test_stops_after_last_reachable_pe_is_taken(self, policy):
+        ready = ReadyList()
+        ready.extend(build_app(6))
+        out, pulled = self._pass(policy, ["cpu", "cpu", "fft"], busy=[1],
+                                 ready=ready)
+        assert [a.handler.pe_id for a in out] == [0]
+        assert pulled == len(out)
+
+    def test_plain_list_keeps_the_full_scan(self, policy):
+        # Without class counts only a fully taken PE set ends the scan.
+        out, pulled = self._pass(policy, ["cpu", "fft"], busy=[0],
+                                 ready=build_app(6))
+        assert out == [] and pulled == 6

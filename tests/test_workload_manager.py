@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import _native
+from repro.appmodel.dag import PlatformBinding, TaskNode
 from repro.appmodel.instance import ApplicationInstance, TaskState
 from repro.common.errors import EmulationError
 from repro.runtime.schedulers import FRFSScheduler
@@ -214,6 +217,87 @@ class TestReadyList:
                     ]
             assert list(rl) == model
             assert len(rl) == len(model)
+
+
+_CLASS_NODES = [
+    TaskNode(name=f"n{i}", platforms=tuple(
+        PlatformBinding(name=p, runfunc=f"k{i}_{p}") for p in plats
+    ))
+    for i, plats in enumerate((("cpu",), ("cpu", "fft"), ("fft",), ("cpu",)))
+]
+
+
+class _Task:
+    """Task stand-in: a unique identity bound to an archetype node."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: TaskNode) -> None:
+        self.node = node
+
+
+def _platform_class(item):
+    node = getattr(item, "node", None)
+    return None if node is None else node.platform_names()
+
+
+class TestReadyListClassCounts:
+    """The per-class live counts behind the EFT early exit must equal a
+    count over iteration after every extend / remove / compaction."""
+
+    @staticmethod
+    def _check(rl, model):
+        assert list(rl) == model
+        assert len(rl) == len(model)
+        counts = dict(rl.class_counts)
+        assert all(n > 0 for n in counts.values())
+        assert Counter(counts) == Counter(map(_platform_class, rl))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_iteration(self, data):
+        pool = [
+            _Task(_CLASS_NODES[k]) if k < len(_CLASS_NODES) else [k]
+            for k in data.draw(st.lists(st.integers(0, 4), max_size=150))
+        ]
+        rl = ReadyList()
+        model: list = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            live = {id(t) for t in model}
+            idle = [t for t in pool if id(t) not in live]
+            op = data.draw(st.sampled_from(["extend", "remove", "compact"]))
+            if op == "extend" and idle:
+                # Includes re-extending ids that still sit as tombstones.
+                batch = data.draw(st.lists(st.sampled_from(idle),
+                                           max_size=40, unique_by=id))
+                rl.extend(batch)
+                model.extend(batch)
+            elif op == "remove" and model:
+                victims = data.draw(st.lists(st.sampled_from(model),
+                                             max_size=len(model),
+                                             unique_by=id))
+                gone = {id(v) for v in victims}
+                rl.remove_ids(gone)
+                model = [t for t in model if id(t) not in gone]
+            elif op == "compact":
+                rl._compact()
+            self._check(rl, model)
+
+    def test_reextend_of_tombstoned_task_counts_once(self):
+        tasks = [_Task(_CLASS_NODES[i % 3]) for i in range(6)]
+        rl = ReadyList()
+        rl.extend(tasks)
+        rl.remove_ids({id(tasks[2]), id(tasks[4])})  # mid-list tombstones
+        assert rl._dead
+        rl.extend([tasks[4]])
+        self._check(rl, [tasks[i] for i in (0, 1, 3, 5, 4)])
+
+    def test_duck_typed_items_count_under_none(self):
+        rl = ReadyList()
+        rl.extend([1, "a", [2]])
+        assert rl.class_counts == {None: 3}
+        rl.remove_ids({id(1), id("a")})
+        assert rl.class_counts == {None: 1}
 
 
 class TestWorkloadManagerCore:
