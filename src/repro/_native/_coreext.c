@@ -23,6 +23,7 @@ static PyObject *EventType;       /* repro.sim.engine.Event */
 static PyObject *TimeoutType;     /* repro.sim.engine.Timeout */
 
 static PyObject *PEStatusIdle;    /* repro.runtime.handler.PEStatus.IDLE */
+static PyObject *PEStatusFailed;  /* repro.runtime.handler.PEStatus.FAILED */
 
 static PyObject *str_fire;       /* "_fire" */
 static PyObject *str_now;        /* "now" */
@@ -31,12 +32,9 @@ static PyObject *str_callbacks;
 static PyObject *str_state;      /* "_state" */
 static PyObject *str_fn;
 static PyObject *str_node;
-static PyObject *str_failed;
-static PyObject *str_status;     /* "_status": the raw attribute behind the
-                                  * ResourceHandler.status property.  One
-                                  * read is GIL-atomic, so skipping the
-                                  * property's lock acquisition returns the
-                                  * same value the property would. */
+static PyObject *str_status;     /* "status": ResourceHandler's state,
+                                  * written under the handler lock and
+                                  * read lock-free (one GIL-atomic read). */
 static PyObject *str_eft;        /* "estimated_free_time" */
 static PyObject *int_fired;      /* 2 == repro.sim.engine._FIRED */
 
@@ -1068,24 +1066,16 @@ eft_prologue(PyObject *handlers, double now, double **avail_out,
     Py_ssize_t idle_remaining = 0;
     for (Py_ssize_t i = 0; i < m; i++) {
         PyObject *h = PyList_GET_ITEM(handlers, i);
-        PyObject *failed = PyObject_GetAttr(h, str_failed);
-        if (!failed)
-            goto fail;
-        int f = PyObject_IsTrue(failed);
-        Py_DECREF(failed);
-        if (f < 0)
-            goto fail;
-        if (f) {
-            idle_now[i] = 0;
-            avail[i] = Py_HUGE_VAL;
-            continue;
-        }
         PyObject *status = PyObject_GetAttr(h, str_status);
         if (!status)
             goto fail;
+        int is_failed = (status == PEStatusFailed);
         int is_idle = (status == PEStatusIdle);
         Py_DECREF(status);
-        if (is_idle) {
+        if (is_failed) {
+            idle_now[i] = 0;
+            avail[i] = Py_HUGE_VAL;
+        } else if (is_idle) {
             idle_now[i] = 1;
             avail[i] = now;
             idle_remaining++;
@@ -1701,12 +1691,11 @@ PyInit__coreext(void)
     str_state = PyUnicode_InternFromString("_state");
     str_fn = PyUnicode_InternFromString("fn");
     str_node = PyUnicode_InternFromString("node");
-    str_failed = PyUnicode_InternFromString("failed");
-    str_status = PyUnicode_InternFromString("_status");
+    str_status = PyUnicode_InternFromString("status");
     str_eft = PyUnicode_InternFromString("estimated_free_time");
     int_fired = PyLong_FromLong(2); /* repro.sim.engine._FIRED */
     if (!str_fire || !str_now || !str_events_fired || !str_callbacks ||
-        !str_state || !str_fn || !str_node || !str_failed || !str_status ||
+        !str_state || !str_fn || !str_node || !str_status ||
         !str_eft || !int_fired)
         return NULL;
 
@@ -1724,8 +1713,9 @@ PyInit__coreext(void)
         if (resolve_from("repro.runtime.handler", "PEStatus", &pe_status) < 0)
             return NULL;
         PEStatusIdle = PyObject_GetAttrString(pe_status, "IDLE");
+        PEStatusFailed = PyObject_GetAttrString(pe_status, "FAILED");
         Py_DECREF(pe_status);
-        if (!PEStatusIdle)
+        if (!PEStatusIdle || !PEStatusFailed)
             return NULL;
     }
 

@@ -14,6 +14,13 @@ Figure reproduction uses the virtual backend; this backend provides
 functional verification (validation mode) and the Case Study 4 speedup
 measurements.
 
+Wake-ups: the handlers are plain lock-guarded state machines, so waking
+the resource managers is this backend's job.  Each RM thread owns one
+``threading.Event``; the WM sets it after a hand-off that started a task
+(``assign``, or a ``reserve`` that found the PE idle), and the stop path
+sets them all.  An RM checks its handler's state first and only then
+waits on its event, with a short timeout so timed failures still fire.
+
 Crash semantics: a kernel exception (not retried away by fault hardening)
 fail-stops its PE — the handler transitions to ``PEStatus.FAILED`` so no
 handler is left stuck in RUN — and every RM/WM failure collected during
@@ -151,12 +158,17 @@ class ThreadedBackend(ExecutionBackend):
         #: (handler, orphans) pairs from permanent PE failures
         pe_failures: list[tuple[ResourceHandler, list]] = []
         failure: list[BaseException] = []
+        #: per-RM wake-up, set by the WM after a hand-off that started a task
+        wakeups = {handler: threading.Event() for handler in session.handlers}
+        #: asks every RM thread to exit (set once, on the stop path)
+        stop = threading.Event()
 
         rm_threads = [
             threading.Thread(
                 target=self._rm_loop,
                 args=(session, handler, devices.get(handler.pe_id), clock,
-                      wm_condition, completed, requeues, pe_failures, failure),
+                      wakeups[handler], stop, wm_condition,
+                      completed, requeues, pe_failures, failure),
                 name=f"rm-{handler.name}",
                 daemon=True,
             )
@@ -166,12 +178,13 @@ class ThreadedBackend(ExecutionBackend):
             t.start()
         try:
             self._wm_loop(
-                session, core, clock, wm_condition,
+                session, core, clock, wakeups, wm_condition,
                 completed, requeues, pe_failures, failure,
             )
         finally:
-            for handler in session.handlers:
-                handler.request_shutdown()
+            stop.set()
+            for wake in wakeups.values():
+                wake.set()
             for t in rm_threads:
                 t.join(timeout=self.join_timeout_s)
             alive = [t.name for t in rm_threads if t.is_alive()]
@@ -182,7 +195,7 @@ class ThreadedBackend(ExecutionBackend):
                     len(alive), self.join_timeout_s, ", ".join(alive),
                 )
             # A task dispatched in the same WM pass that detected a failure
-            # can be stranded: the RM observes the shutdown flag and exits
+            # can be stranded: the RM observes the stop flag and exits
             # without ever claiming it.  Abort it so no handler whose RM has
             # exited is left stuck in RUN (a still-alive RM owns its state).
             for t, handler in zip(rm_threads, session.handlers):
@@ -202,9 +215,19 @@ class ThreadedBackend(ExecutionBackend):
 
     # -- workload-manager thread (runs on the caller) ------------------------------------
 
-    def _wm_loop(self, session, core, clock, wm_condition,
+    def _wm_loop(self, session, core, clock, wakeups, wm_condition,
                  completed, requeues, pe_failures, failure):
         self_serve = session.scheduler.uses_reservation
+
+        def take():
+            """Snapshot and clear the three RM → WM channels at once."""
+            with wm_condition:
+                taken = (list(completed), list(pe_failures), list(requeues))
+                completed.clear()
+                pe_failures.clear()
+                requeues.clear()
+            return taken
+
         if self.pin_threads:
             _try_pin(session.platform.management_core)
         deadline = time.perf_counter() + self.timeout_s
@@ -235,19 +258,7 @@ class ThreadedBackend(ExecutionBackend):
                 # Graceful shutdown: stop injecting/scheduling, absorb what
                 # finishes, and exit once every PE is quiet (or the drain
                 # deadline passes — a hung kernel must not hold us hostage).
-                with wm_condition:
-                    batch = list(completed)
-                    completed.clear()
-                    fail_batch = list(pe_failures)
-                    pe_failures.clear()
-                    req_batch = list(requeues)
-                    requeues.clear()
-                now = clock()
-                core.process_completions(batch, now)
-                for failed_handler, orphans in fail_batch:
-                    core.absorb_pe_failure(failed_handler, orphans, now)
-                if req_batch:
-                    core.absorb_requeues(req_batch, now)
+                core.absorb(*take(), clock())
                 busy = any(
                     h.status in (PEStatus.RUN, PEStatus.COMPLETE)
                     for h in session.handlers
@@ -279,19 +290,9 @@ class ThreadedBackend(ExecutionBackend):
                         wait_s = max(0.0, min(wait_s * 50, (nxt - clock()) / 1e6))
                         wait_s = max(wait_s, 1e-5)
                     wm_condition.wait(timeout=wait_s)
-                batch = list(completed)
-                completed.clear()
-                fail_batch = list(pe_failures)
-                pe_failures.clear()
-                req_batch = list(requeues)
-                requeues.clear()
             t0 = clock()
             now = t0
-            n_comp = core.process_completions(batch, now)
-            for failed_handler, orphans in fail_batch:
-                core.absorb_pe_failure(failed_handler, orphans, now)
-            if req_batch:
-                core.absorb_requeues(req_batch, now)
+            n_comp = core.absorb(*take(), now)
             if hb_timeout_us is not None:
                 self._check_heartbeats(session, core, now, hb_timeout_us)
             core.inject_due(now)
@@ -300,10 +301,11 @@ class ThreadedBackend(ExecutionBackend):
             core.commit(assignments, clock())
             for a in assignments:
                 try:
-                    if self_serve:
-                        a.handler.reserve(a.task)
-                    else:
+                    if not self_serve:
                         a.handler.assign(a.task)
+                        wakeups[a.handler].set()
+                    elif a.handler.reserve(a.task):
+                        wakeups[a.handler].set()
                     if hb_timeout_us is not None:
                         a.handler.heartbeat = clock()
                 except PEFailedError:
@@ -353,8 +355,8 @@ class ThreadedBackend(ExecutionBackend):
 
     # -- resource-manager threads -----------------------------------------------------------
 
-    def _rm_loop(self, session, handler, device, clock, wm_condition,
-                 completed, requeues, pe_failures, failure):
+    def _rm_loop(self, session, handler, device, clock, wake, stop,
+                 wm_condition, completed, requeues, pe_failures, failure):
         if self.pin_threads:
             _try_pin(handler.pe.host_core)
         self_serve = session.scheduler.uses_reservation
@@ -382,10 +384,18 @@ class ThreadedBackend(ExecutionBackend):
                 ):
                     fail_permanently()
                     return
-                task = handler.wait_for_work(timeout=0.05)
+                # Level-triggered: clear, check the handler, then wait — a
+                # hand-off after the check sets the event, so none is lost.
+                wake.clear()
+                if stop.is_set() or handler.failed:
+                    return
+                task = (
+                    handler.current_task
+                    if handler.status is PEStatus.RUN
+                    else None
+                )
                 if task is None:
-                    if handler.shutdown or handler.failed:
-                        return
+                    wake.wait(timeout=0.05)
                     continue
                 while task is not None:
                     # Timed failures are checked at task boundaries: a

@@ -262,15 +262,10 @@ class VirtualBackend(ExecutionBackend):
             if draining:
                 # Graceful shutdown: absorb whatever already finished, stop
                 # injecting/scheduling, and exit once every PE is quiet.
-                now = engine.now
-                core.process_completions(completed, now)
+                core.absorb(completed, fault_events, requeues, engine.now)
                 completed.clear()
-                while fault_events:
-                    failed_handler, orphans = fault_events.popleft()
-                    core.absorb_pe_failure(failed_handler, orphans, now)
-                if requeues:
-                    core.absorb_requeues(list(requeues), now)
-                    requeues.clear()
+                fault_events.clear()
+                requeues.clear()
                 if not any(
                     h.status in (PEStatus.RUN, PEStatus.COMPLETE)
                     for h in session.handlers
@@ -298,17 +293,13 @@ class VirtualBackend(ExecutionBackend):
                 continue  # re-evaluate state at the wakeup instant
 
             now = engine.now
-            # process_completions drains synchronously; nothing can append
-            # mid-call, so hand it the deque and clear afterwards instead
-            # of copying every pass.
-            n_comp = core.process_completions(completed, now)
+            # absorb drains synchronously; nothing can append mid-call, so
+            # hand it the deques and clear afterwards instead of copying
+            # every pass.
+            n_comp = core.absorb(completed, fault_events, requeues, now)
             completed.clear()
-            while fault_events:
-                failed_handler, orphans = fault_events.popleft()
-                core.absorb_pe_failure(failed_handler, orphans, now)
-            if requeues:
-                core.absorb_requeues(list(requeues), now)
-                requeues.clear()
+            fault_events.clear()
+            requeues.clear()
             core.inject_due(now)
             ready_len = len(core.ready)
             assignments = core.run_policy(now)

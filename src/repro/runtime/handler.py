@@ -10,20 +10,22 @@ with a terminal failure state for fault injection::
     COMPLETE ──(WM acknowledges)──► IDLE
     any ──(fault injection, mark_failed)──► FAILED   (terminal)
 
-Any thread reading or writing the status field must hold the handler's
-lock; the threaded backend relies on this, while the single-threaded
-virtual backend satisfies the rule trivially (its lock is uncontended).
-The ``failed`` flag is additionally mirrored as a plain attribute so
-schedulers can exclude failed PEs without taking the lock in their inner
-loops (written once under the lock; a stale read is benign because the
-workload manager re-filters assignments against it before dispatch).
+Writes happen under the handler's lock: every transition is one
+check-and-set inside ``with self.lock``.  Reads take no lock — ``status``
+is a plain attribute, and one attribute read is atomic under the GIL, so
+schedulers (and the compiled kernels) scan it in their inner loops.  A
+stale read is benign: the transitions re-check the state they need, and
+the workload manager re-filters assignments against failed PEs before
+dispatch.  The handler never blocks or signals anyone; waking a
+resource-manager thread after a hand-off is the threaded backend's job,
+and the single-threaded virtual backend needs no wake-ups at all.
 
-Completed tasks are buffered in ``finished_tasks`` for the workload
-manager's monitoring step.  The ``reservation_queue`` implements the
-paper's future-work PE-level work queues: with a reservation-capable
-policy, the WM may book tasks onto a busy PE and the resource manager
-*self-serves* the next task on completion (``finish_task(self_serve=True)``),
-skipping the COMPLETE→IDLE handshake entirely.
+The ``reservation_queue`` implements the paper's future-work PE-level work
+queues: with a reservation-capable policy, the WM may book tasks onto a
+busy PE and the resource manager *self-serves* the next task on completion
+(``finish_task(self_serve=True)``), skipping the COMPLETE→IDLE handshake
+entirely.  In that mode the WM's ``reserve`` and the RM's ``finish_task``
+race on the queue, which is what the lock is for.
 """
 
 from __future__ import annotations
@@ -73,22 +75,15 @@ class ResourceHandler:
             self.accepted_platforms: tuple[str, ...] = (pe.type_name, "cpu")
         else:
             self.accepted_platforms = (pe.type_name,)
+        #: guards every transition below (see module doc)
         self.lock = threading.Lock()
-        self.condition = threading.Condition(self.lock)
-        self._status = PEStatus.IDLE
+        #: written under ``lock``, read without it
+        self.status: PEStatus = PEStatus.IDLE
         self.current_task: TaskInstance | None = None
         self.reservation_queue: deque[TaskInstance] = deque()
-        self.finished_tasks: deque[TaskInstance] = deque()
-        # accounting (owned by the RM side)
-        self.busy_time: float = 0.0
-        self.tasks_executed: int = 0
         #: scheduler-visible estimate of when this PE frees up (used by
         #: EFT/HEFT/reservation placement)
         self.estimated_free_time: float = 0.0
-        #: set by backends that want the RM thread/process to exit
-        self.shutdown = False
-        #: lock-free mirror of ``status is PEStatus.FAILED`` (see module doc)
-        self.failed: bool = False
         #: time the PE failed (µs), or -1.0 while healthy
         self.failed_at: float = -1.0
         #: last sign of life from this PE's RM (threaded-backend wall-clock
@@ -97,32 +92,26 @@ class ResourceHandler:
         #: Plain float write/read — stale reads only delay detection.
         self.heartbeat: float = -1.0
 
-    # -- properties ------------------------------------------------------------
-
     @property
-    def status(self) -> PEStatus:
-        with self.lock:
-            return self._status
-
-    def is_idle(self) -> bool:
-        return self.status is PEStatus.IDLE
+    def failed(self) -> bool:
+        """Whether the PE is in the terminal FAILED state."""
+        return self.status is PEStatus.FAILED
 
     # -- WM side -----------------------------------------------------------------
 
     def assign(self, task: TaskInstance) -> None:
         """Hand a task to an idle PE and flip it to RUN."""
-        with self.condition:
-            if self._status is PEStatus.FAILED:
+        with self.lock:
+            if self.status is PEStatus.FAILED:
                 raise PEFailedError(
                     f"PE {self.name}: assign after permanent failure"
                 )
-            if self._status is not PEStatus.IDLE:
+            if self.status is not PEStatus.IDLE:
                 raise EmulationError(
-                    f"PE {self.name}: assign while {self._status.value}"
+                    f"PE {self.name}: assign while {self.status.value}"
                 )
             self.current_task = task
-            self._status = PEStatus.RUN
-            self.condition.notify_all()
+            self.status = PEStatus.RUN
 
     def reserve(self, task: TaskInstance) -> bool:
         """Book a task onto this PE (reservation extension).
@@ -130,41 +119,33 @@ class ResourceHandler:
         Returns True when the PE was idle and the task starts immediately;
         False when it was queued behind the current work.
         """
-        with self.condition:
-            if self._status is PEStatus.FAILED:
+        with self.lock:
+            if self.status is PEStatus.FAILED:
                 raise PEFailedError(
                     f"PE {self.name}: reserve after permanent failure"
                 )
-            if self._status is PEStatus.IDLE:
+            if self.status is PEStatus.IDLE:
                 self.current_task = task
-                self._status = PEStatus.RUN
-                self.condition.notify_all()
+                self.status = PEStatus.RUN
                 return True
             self.reservation_queue.append(task)
             return False
 
     def acknowledge_complete(self) -> None:
         """Return a COMPLETE PE to IDLE (plain-dispatch handshake)."""
-        with self.condition:
-            if self._status is not PEStatus.COMPLETE:
+        with self.lock:
+            if self.status is not PEStatus.COMPLETE:
                 raise EmulationError(
-                    f"PE {self.name}: acknowledge while {self._status.value}"
+                    f"PE {self.name}: acknowledge while {self.status.value}"
                 )
             self.current_task = None
-            self._status = PEStatus.IDLE
+            self.status = PEStatus.IDLE
 
     def drain_finished(self) -> list[TaskInstance]:
-        """WM monitoring step: collect all buffered completed tasks."""
-        with self.lock:
-            items = list(self.finished_tasks)
-            self.finished_tasks.clear()
-            return items
-
-    def request_shutdown(self) -> None:
-        """Ask the RM (thread) to exit once idle."""
-        with self.condition:
-            self.shutdown = True
-            self.condition.notify_all()
+        """Always ``[]``: completions reach the WM through the backends'
+        own queues, and the handler buffers none.  Kept because
+        ``perfbench/layers.py`` wraps this method by name."""
+        return []
 
     def mark_failed(self, now: float) -> list[TaskInstance]:
         """Permanent fault: flip to FAILED and surrender unexecuted work.
@@ -176,19 +157,17 @@ class ResourceHandler:
         with the completion channel.  Idempotent: a second call returns
         ``[]``.
         """
-        with self.condition:
-            if self._status is PEStatus.FAILED:
+        with self.lock:
+            if self.status is PEStatus.FAILED:
                 return []
             orphans: list[TaskInstance] = []
-            if self._status is PEStatus.RUN and self.current_task is not None:
+            if self.status is PEStatus.RUN and self.current_task is not None:
                 orphans.append(self.current_task)
             orphans.extend(self.reservation_queue)
             self.reservation_queue.clear()
             self.current_task = None
-            self._status = PEStatus.FAILED
-            self.failed = True
+            self.status = PEStatus.FAILED
             self.failed_at = now
-            self.condition.notify_all()
             return orphans
 
     # -- RM side -----------------------------------------------------------------
@@ -196,75 +175,47 @@ class ResourceHandler:
     def finish_task(self, *, self_serve: bool = False) -> TaskInstance | None:
         """RM reports the current task done.
 
-        Plain mode (``self_serve=False``): buffers the task and flips to
-        COMPLETE, awaiting the WM's acknowledgement.  Self-serve mode: the
-        PE immediately continues with the next reserved task (returned), or
-        goes straight to IDLE when its queue is empty.
+        Plain mode (``self_serve=False``): flips to COMPLETE, awaiting the
+        WM's acknowledgement.  Self-serve mode: the PE immediately
+        continues with the next reserved task (returned), or goes straight
+        to IDLE when its queue is empty.
         """
-        with self.condition:
-            if self._status is not PEStatus.RUN or self.current_task is None:
+        with self.lock:
+            if self.status is not PEStatus.RUN or self.current_task is None:
                 raise EmulationError(
-                    f"PE {self.name}: finish_task while {self._status.value}"
+                    f"PE {self.name}: finish_task while {self.status.value}"
                 )
-            done = self.current_task
-            self.finished_tasks.append(done)
-            self.tasks_executed += 1
-            # Busy-time accounting happens here, under the condition lock,
-            # because the WM side may read busy_time concurrently; timeline
-            # stamps are valid only once mark_complete() ran.
-            if done.finish_time >= 0.0 and done.start_time >= 0.0:
-                self.busy_time += done.finish_time - done.start_time
             if not self_serve:
-                self._status = PEStatus.COMPLETE
-                self.condition.notify_all()
+                self.status = PEStatus.COMPLETE
                 return None
             if self.reservation_queue:
                 self.current_task = self.reservation_queue.popleft()
-                self.condition.notify_all()
                 return self.current_task
             self.current_task = None
-            self._status = PEStatus.IDLE
+            self.status = PEStatus.IDLE
             return None
 
     def abort_task(self, *, self_serve: bool = False) -> TaskInstance | None:
         """RM abandons the current task without completing it (fault path).
 
-        Mirrors :meth:`finish_task` minus the completion bookkeeping: the
-        task is *not* buffered, counted, or charged to busy time — the
-        workload manager receives it through the requeue channel instead.
+        Mirrors :meth:`finish_task`, but the task goes back to the workload
+        manager through the requeue channel instead of the completion one.
         Self-serve mode continues with the next reserved task.
         """
-        with self.condition:
-            if self._status is not PEStatus.RUN or self.current_task is None:
+        with self.lock:
+            if self.status is not PEStatus.RUN or self.current_task is None:
                 raise EmulationError(
-                    f"PE {self.name}: abort_task while {self._status.value}"
+                    f"PE {self.name}: abort_task while {self.status.value}"
                 )
             self.current_task = None
             if self_serve and self.reservation_queue:
                 self.current_task = self.reservation_queue.popleft()
-                self.condition.notify_all()
                 return self.current_task
-            self._status = PEStatus.IDLE
-            self.condition.notify_all()
-            return None
-
-    def wait_for_work(self, timeout: float | None = None) -> TaskInstance | None:
-        """RM blocks until a task is assigned (threaded backend).
-
-        Returns None on shutdown or timeout.
-        """
-        with self.condition:
-            while not self.shutdown:
-                if self._status is PEStatus.FAILED:
-                    return None
-                if self._status is PEStatus.RUN and self.current_task is not None:
-                    return self.current_task
-                if not self.condition.wait(timeout=timeout):
-                    return None
+            self.status = PEStatus.IDLE
             return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"ResourceHandler({self.name!r}, {self._status.value}, "
+            f"ResourceHandler({self.name!r}, {self.status.value}, "
             f"queued={len(self.reservation_queue)})"
         )

@@ -210,8 +210,8 @@ class Scheduler:
         kern = self._kernels
         if kern is not None:
             # The availability prologue and placement loop both run in C;
-            # the kernel reads handler.failed/.status/.estimated_free_time
-            # exactly as the pure loop below does.
+            # the kernel reads handler.status/.estimated_free_time exactly
+            # as the pure loop below does.
             pairs = kern.eft_pass(
                 order, self._est_rows, self._est_fallback(handlers),
                 handlers, now,
@@ -225,9 +225,10 @@ class Scheduler:
         avail: list[float] = []
         open_mask = 0
         for i, h in enumerate(handlers):
-            if h.failed:
+            status = h.status
+            if status is PEStatus.FAILED:
                 avail.append(inf)
-            elif h.status is PEStatus.IDLE:
+            elif status is PEStatus.IDLE:
                 avail.append(now)
                 open_mask |= 1 << i
             else:
@@ -293,7 +294,7 @@ class Scheduler:
 
     @staticmethod
     def idle_handlers(handlers: list[ResourceHandler]) -> list[ResourceHandler]:
-        """Snapshot of currently idle PEs (reads status under each lock,
+        """Snapshot of currently idle PEs (one lock-free status read each,
         matching the paper's 'begin by checking availability' guidance).
         ``PEStatus.FAILED`` is terminal and distinct from IDLE, so failed
         PEs are excluded here automatically."""
@@ -306,8 +307,9 @@ class Scheduler:
         Custom policies that scan ``handlers`` directly (instead of using
         :meth:`idle_handlers`) should skip handlers flagged here under
         fault injection; the None fast path keeps the no-fault case free.
-        Reads the lock-free ``failed`` mirror — the workload manager
-        re-filters committed assignments, so a stale read is benign.
+        Reads each handler's ``status`` without its lock (writes happen
+        under it) — the workload manager re-filters committed
+        assignments, so a stale read is benign.
         """
         if not any(h.failed for h in handlers):
             return None

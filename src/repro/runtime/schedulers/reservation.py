@@ -47,11 +47,12 @@ class ReservationEFTScheduler(Scheduler):
         open_slots = 0
         depth = self.queue_depth
         for h in handlers:
-            if h.failed:
+            status = h.status
+            if status is PEStatus.FAILED:
                 # A failed PE accepts neither dispatch nor bookings.
                 avail.append(float("inf"))
                 free_slots = 0
-            elif h.status is PEStatus.IDLE:
+            elif status is PEStatus.IDLE:
                 avail.append(now)
                 free_slots = depth
             else:
@@ -121,8 +122,8 @@ class ReservationFRFSScheduler(Scheduler):
         # ``depth`` is the exclusive load bound below, so a failed PE pinned
         # at ``depth`` can never be selected.
         load = [
-            depth if h.failed
-            else 0 if h.status is PEStatus.IDLE
+            depth if (status := h.status) is PEStatus.FAILED
+            else 0 if status is PEStatus.IDLE
             else 1 + len(h.reservation_queue)
             for h in handlers
         ]

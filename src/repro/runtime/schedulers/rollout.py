@@ -224,10 +224,11 @@ class RolloutScheduler(Scheduler):
         avail: list[float] = []
         idle_remaining = 0
         for h in handlers:
-            if h.failed:
+            status = h.status
+            if status is PEStatus.FAILED:
                 idle.append(False)
                 avail.append(float("inf"))
-            elif h.status is PEStatus.IDLE:
+            elif status is PEStatus.IDLE:
                 idle.append(True)
                 avail.append(now)
                 idle_remaining += 1

@@ -214,7 +214,6 @@ class EmulationStats:
         self.task_records: list[TaskRecord] = []
         # -- streaming-mode aggregates (unused otherwise) -------------------
         self._tasks_recorded = 0
-        self._ready_len_agg = _MeanAgg()
         self._resp_agg: dict[str, _MeanAgg] = {}
         self._slack_agg: dict[str, _MeanAgg] = {}
         self._resp_tail = {
@@ -225,8 +224,9 @@ class EmulationStats:
         self.pe_usage: dict[str, PEUsage] = {}
         self.sched_overhead_total: float = 0.0
         self.sched_invocations: int = 0
-        self.sched_overhead_samples: list[float] = []
-        self.ready_len_samples: list[int] = []
+        #: exact integer sum of the ready-list length over all passes (both
+        #: modes); below 2**53, sum / passes equals ``np.mean`` bit for bit
+        self._ready_len_sum: int = 0
         self.apps_injected: int = 0
         self.apps_completed: int = 0
         self.app_response_times: dict[str, list[float]] = {}
@@ -308,11 +308,7 @@ class EmulationStats:
     def record_scheduling_pass(self, overhead: float, ready_len: int) -> None:
         self.sched_overhead_total += overhead
         self.sched_invocations += 1
-        if self.streaming:
-            self._ready_len_agg.add(float(ready_len))
-            return
-        self.sched_overhead_samples.append(overhead)
-        self.ready_len_samples.append(ready_len)
+        self._ready_len_sum += ready_len
 
     def record_injection(self, count: int = 1) -> None:
         self.apps_injected += count
@@ -451,11 +447,9 @@ class EmulationStats:
         return self.sched_overhead_total / self.sched_invocations
 
     def mean_ready_length(self) -> float:
-        if self.streaming:
-            return self._ready_len_agg.mean()
-        if not self.ready_len_samples:
+        if not self.sched_invocations:
             return 0.0
-        return float(np.mean(self.ready_len_samples))
+        return self._ready_len_sum / self.sched_invocations
 
     def pe_utilization(self) -> dict[str, float]:
         """Per-PE usage-time / workload-execution-time (Fig. 9b)."""

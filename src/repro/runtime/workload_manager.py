@@ -282,6 +282,22 @@ class WorkloadManagerCore:
 
     # -- the three steps of a WM pass -----------------------------------------------
 
+    def absorb(self, completions, pe_failures, requeues, now: float) -> int:
+        """Take in everything the PEs reported since the last pass.
+
+        Completions first, then permanent PE failures (``(handler,
+        orphans)`` pairs, in arrival order), then retry-exhausted requeues
+        — the one order both backends use, so their event order matches.
+        Each argument is consumed synchronously; backends clear their
+        buffers afterwards.  Returns the number of completions.
+        """
+        n = self.process_completions(completions, now)
+        for handler, orphans in pe_failures:
+            self.absorb_pe_failure(handler, orphans, now)
+        if requeues:
+            self.absorb_requeues(requeues, now)
+        return n
+
     def process_completions(self, completions, now: float) -> int:
         """Monitor step: bookkeep finished tasks, release PEs, grow ready list.
 
@@ -296,11 +312,6 @@ class WorkloadManagerCore:
             # self-serving (reservation) PEs manage their own status.
             if handler.status is PEStatus.COMPLETE:
                 handler.acknowledge_complete()
-            # The backends deliver completions through their own queues; the
-            # handler-side buffer exists for the monitoring protocol and is
-            # cleared here so it cannot grow without bound.
-            if handler.finished_tasks:
-                handler.drain_finished()
             newly_ready = task.app.on_task_complete(task, now)
             # Successors of a degraded app will never run; they were removed
             # from the outstanding count when the app was degraded.

@@ -295,6 +295,49 @@ class TestThreadedBackend:
         assert result.makespan_us >= 15_000.0
 
 
+class TestThreadedHandoffRace:
+    """Repeated threaded runs over the WM → RM hand-off: reservation
+    self-serve and a timed PE failure under EFT.  Each run must account
+    for every app, leave every handler IDLE or FAILED, and stop every RM."""
+
+    @staticmethod
+    def _run_and_check(policy, seed, **kwargs):
+        import threading
+
+        from repro.runtime.handler import PEStatus
+
+        emu = diamond_emulation(policy=policy, seed=seed, **kwargs)
+        session = emu.build_session(validation_workload({"diamond": 4}))
+        before = set(threading.enumerate())
+        stats = ThreadedBackend().run(session)
+        assert (
+            stats.apps_completed + stats.apps_degraded + stats.apps_dropped
+            == stats.apps_injected == 4
+        )
+        assert all(
+            h.status in (PEStatus.IDLE, PEStatus.FAILED)
+            for h in session.handlers
+        ), [h.status for h in session.handlers]
+        leftover = [
+            t.name for t in set(threading.enumerate()) - before
+            if t.name.startswith("rm-")
+        ]
+        assert leftover == []
+
+    def test_reservation_self_serve(self):
+        for seed in range(10):
+            self._run_and_check("frfs_reserve", seed)
+
+    def test_eft_with_timed_pe_failure(self):
+        # Failure times from RM start-up to late in the run, so the fault
+        # lands on an idle PE, mid-dispatch and mid-kernel across seeds.
+        for seed, at_us in enumerate((0.0, 100.0, 300.0, 600.0, 1000.0)):
+            self._run_and_check(
+                "eft", seed,
+                faults={"pe_failures": [{"pe": "cpu1", "at_us": at_us}]},
+            )
+
+
 class TestCombineFailures:
     def test_single_failure_returned_unchanged(self):
         from repro.runtime.backends.threaded import combine_failures

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,7 +52,6 @@ class TestResourceHandler:
         assert handler.current_task is task
         handler.finish_task()
         assert handler.status is PEStatus.COMPLETE
-        assert handler.drain_finished() == [task]
         handler.acknowledge_complete()
         assert handler.status is PEStatus.IDLE
         assert handler.current_task is None
@@ -89,7 +93,7 @@ class TestResourceHandler:
         assert handler.status is PEStatus.RUN
         assert handler.finish_task(self_serve=True) is None
         assert handler.status is PEStatus.IDLE
-        assert handler.drain_finished() == [first, second]
+        assert handler.current_task is None
 
     def test_accepted_platforms_generic_cpu(self):
         cpu = make_handler(PE_CPU)
@@ -99,22 +103,93 @@ class TestResourceHandler:
         fft = make_handler(PE_FFT)
         assert fft.accepted_platforms == ("fft",)
 
-    def test_wait_for_work_timeout_returns_none(self):
+    def test_failed_reads_status(self):
         handler = make_handler()
-        assert handler.wait_for_work(timeout=0.01) is None
+        handler.reserve(make_task())
+        assert not handler.failed
+        handler.mark_failed(5.0)
+        assert handler.failed and handler.status is PEStatus.FAILED
+        with pytest.raises(AttributeError):
+            handler.failed = False  # read-only view of status
 
-    def test_wait_for_work_after_shutdown(self):
-        handler = make_handler()
-        handler.request_shutdown()
-        assert handler.wait_for_work(timeout=0.01) is None
 
-    def test_tasks_executed_counter(self):
+class _YieldingQueue(deque):
+    """A reservation queue that gives up the GIL inside every check and
+    append, so an unguarded check-then-act in the handler really
+    interleaves with the other thread instead of hiding between switches."""
+
+    def __len__(self):
+        n = super().__len__()
+        time.sleep(0)
+        return n
+
+    def __bool__(self):
+        return len(self) > 0
+
+    def append(self, item):
+        time.sleep(0)
+        super().append(item)
+
+
+class TestResourceHandlerRace:
+    """The WM's ``reserve`` and the RM's self-serve ``finish_task`` race on
+    ``reservation_queue``; only the handler lock keeps them consistent."""
+
+    def test_reserve_vs_self_serve_finish(self):
         handler = make_handler()
-        for _ in range(3):
-            handler.assign(make_task())
-            handler.finish_task()
-            handler.acknowledge_complete()
-        assert handler.tasks_executed == 3
+        handler.reservation_queue = _YieldingQueue()
+        n = 10_000
+        executed: list[int] = []
+        stranded: list[int] = []
+        wm_done = threading.Event()
+
+        def wm():
+            for k in range(n):
+                handler.reserve(k)
+            wm_done.set()
+
+        def rm():
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline:
+                with handler.lock:
+                    if (
+                        handler.status is PEStatus.IDLE
+                        and handler.reservation_queue
+                    ):
+                        stranded.append(handler.reservation_queue[0])
+                        return
+                task = (
+                    handler.current_task
+                    if handler.status is PEStatus.RUN
+                    else None
+                )
+                if task is None:
+                    if wm_done.is_set() and handler.status is PEStatus.IDLE:
+                        return
+                    continue
+                while task is not None:
+                    executed.append(task)
+                    task = handler.finish_task(self_serve=True)
+
+        # Switch threads as often as possible so the check-and-set windows
+        # in reserve/finish_task actually interleave.
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=f) for f in (wm, rm)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert stranded == [], "task queued behind an IDLE PE"
+        # Every reserved task ran exactly once, in booking order, or is
+        # still queued — nothing lost, nothing run twice.
+        assert executed + list(handler.reservation_queue) == list(range(n))
+        assert handler.status is PEStatus.IDLE
+        assert not handler.reservation_queue
 
 
 class TestWorkloadSpecs:

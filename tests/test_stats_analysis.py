@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +66,18 @@ class TestEmulationStats:
         stats.record_injection(2)
         with pytest.raises(EmulationError, match="did not complete"):
             stats.assert_all_complete()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=1 << 20), max_size=300))
+    def test_mean_ready_length_exact_in_both_modes(self, lengths):
+        materialized = EmulationStats()
+        streaming = EmulationStats(streaming=True)
+        for n in lengths:
+            materialized.record_scheduling_pass(1.0, n)
+            streaming.record_scheduling_pass(1.0, n)
+        expected = float(np.mean(lengths)) if lengths else 0.0
+        assert materialized.mean_ready_length() == expected
+        assert streaming.mean_ready_length() == expected
 
     def test_energy_accounting(self):
         usage = PEUsage(

@@ -12,6 +12,7 @@ from repro import _native
 from repro.appmodel.dag import PlatformBinding, TaskNode
 from repro.appmodel.instance import ApplicationInstance, TaskState
 from repro.common.errors import EmulationError
+from repro.runtime.handler import PEStatus
 from repro.runtime.schedulers import FRFSScheduler
 from repro.runtime.stats import EmulationStats
 from repro.runtime.workload_manager import ReadyList, WorkloadManagerCore
@@ -335,7 +336,7 @@ class TestWorkloadManagerCore:
         core.process_completions([(handler, task)], 3.0)
         assert sorted(t.name for t in core.ready) == ["B", "C"]
         assert stats.task_count == 1
-        assert handlers[0].is_idle()
+        assert handlers[0].status is PEStatus.IDLE
 
     def test_full_drive_to_completion(self, zcu):
         core, handlers, stats = make_core(zcu, config="2C+0F")
